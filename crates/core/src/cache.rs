@@ -357,9 +357,22 @@ impl<E: Element> ShardedPlanCache<E> {
         state.map.insert(key.clone(), Entry::Building);
         drop(state);
         let build_started = std::time::Instant::now();
-        let built = t.plan::<E>(shape, perm, opts);
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.plan::<E>(shape, perm, opts)
+        }));
         let build_ns = build_started.elapsed().as_nanos() as u64;
         let mut state = shard.state.lock().expect("cache shard poisoned");
+        let built = match built {
+            Ok(built) => built,
+            Err(cause) => {
+                // A panicking build must not strand its waiters on the
+                // `Building` slot: vacate it, wake them, and re-raise.
+                state.map.remove(key);
+                drop(state);
+                shard.built.notify_all();
+                std::panic::resume_unwind(cause)
+            }
+        };
         match built {
             Ok(plan) => {
                 let plan = Arc::new(plan);
@@ -692,6 +705,41 @@ mod tests {
             }
         );
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_build_vacates_its_slot() {
+        // A predictor that panics on its first call: the builder's panic
+        // must reach the caller, and the next fetch of the same key must
+        // build afresh instead of waiting on a stranded `Building` slot.
+        struct PanicsOnce(std::sync::atomic::AtomicBool, crate::AnalyticPredictor);
+        impl crate::TimePredictor for PanicsOnce {
+            fn predict_ns(&self, c: &crate::Candidate) -> f64 {
+                if !self.0.swap(true, Ordering::SeqCst) {
+                    panic!("injected predictor fault");
+                }
+                self.1.predict_ns(c)
+            }
+        }
+        let device = ttlg_gpu_sim::DeviceConfig::k40c();
+        let t = Transposer::with_predictor(
+            device.clone(),
+            Arc::new(PanicsOnce(
+                std::sync::atomic::AtomicBool::new(false),
+                crate::AnalyticPredictor::new(device),
+            )),
+        );
+        let cache: ShardedPlanCache<f64> = ShardedPlanCache::new();
+        let shape = Shape::new(&[16, 8, 4]).unwrap();
+        let perm = Permutation::new(&[2, 0, 1]).unwrap();
+        let opts = TransposeOptions::default();
+        let key = PlanKey::new(&shape, &perm, &opts);
+        let fetch = || cache.get_or_plan_keyed_timed(&t, &key, &shape, &perm, &opts);
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fetch));
+        assert!(first.is_err(), "the build panic propagates");
+        let (_, hit, _) = fetch().expect("the retry plans");
+        assert!(!hit);
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! kernel (offset arrays included). [`Transposer::execute`] runs the plan
 //! on the simulated device, returning both the transposed tensor and a
 //! timing/bandwidth report in the units the paper's figures use.
+//!
+//! The simulation is deterministic per plan, so a GpuSim plan simulates
+//! once: its first execution memoises the transaction statistics on the
+//! [`Plan`], and later executions move the bytes with the `ttlg-cpu`
+//! host kernel and report from the memoised statistics.
 
 use crate::backend::Backend;
 use crate::features::{self, Candidate, KernelChoice};
@@ -18,7 +23,7 @@ use crate::problem::Problem;
 use crate::schema::{applicable_schemas, Schema};
 use crate::slice;
 use crate::trace::{choice_params, CandidateTrace, DecisionTrace};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use ttlg_gpu_sim::{
     executor::LaunchError, Accounting, BlockIo, BlockKernel, DeviceConfig, ExecMode, Executor,
     GridExecutor, KernelTiming, Launch, TimingModel, TransactionStats,
@@ -214,6 +219,14 @@ pub struct Plan<E: Element> {
     /// [`Transposer::set_trace_retention`] is on (shared so cached plans
     /// hand it to every request cheaply).
     decision: Option<Arc<DecisionTrace>>,
+    /// Transaction statistics of the first simulated execution (GpuSim
+    /// plans only). The simulation is deterministic per plan, so later
+    /// executions report from these instead of re-simulating.
+    sim_stats: OnceLock<TransactionStats>,
+    /// Host kernel that moves the bytes once `sim_stats` is set, built
+    /// on the plan's second execution so single-use plans never pay
+    /// for it.
+    host_plan: OnceLock<ttlg_cpu::CpuPlan>,
 }
 
 impl<E: Element> Plan<E> {
@@ -567,6 +580,8 @@ impl Transposer {
             measured: false,
             sweep_wall_ns: 0,
             decision: None,
+            sim_stats: OnceLock::new(),
+            host_plan: OnceLock::new(),
         }
     }
 
@@ -731,6 +746,15 @@ impl Transposer {
     }
 
     /// Execute a plan into a pre-allocated output tensor.
+    ///
+    /// A GpuSim plan's first execution runs the full simulation and
+    /// memoises its transaction statistics on the plan; later executions
+    /// move the bytes with the `ttlg-cpu` host kernel and build the
+    /// report from the memoised statistics, so every report field is
+    /// identical across executions. Plans built with
+    /// `check_disjoint_writes` simulate on every execution. The memoised
+    /// statistics belong to the device of the transposer that first ran
+    /// the plan; run a plan on the transposer that built it.
     pub fn execute_into<E: Element>(
         &self,
         plan: &Plan<E>,
@@ -745,6 +769,18 @@ impl Transposer {
         assert_eq!(out.volume(), input.volume(), "output volume mismatch");
         match &plan.kernel {
             PlanExec::Gpu(k) => {
+                if let (false, Some(stats)) = (plan.check_disjoint_writes, plan.sim_stats.get()) {
+                    let host = plan.host_plan.get_or_init(|| {
+                        ttlg_cpu::CpuPlan::new(
+                            plan.problem.shape.extents(),
+                            plan.problem.perm.as_slice(),
+                            ttlg_cpu::pick_tile(E::BYTES),
+                            ttlg_tensor::parallel::machine_threads(),
+                        )
+                    });
+                    ttlg_cpu::execute(host, input.data(), out.data_mut());
+                    return Ok(self.report(plan, stats));
+                }
                 let outcome = GridExecutor::<E>::run_grid(
                     &self.executor,
                     k,
@@ -754,6 +790,7 @@ impl Transposer {
                         check_disjoint_writes: plan.check_disjoint_writes,
                     },
                 )?;
+                let _ = plan.sim_stats.set(outcome.stats);
                 Ok(self.report(plan, &outcome.stats))
             }
             PlanExec::Cpu(cp) => {
@@ -887,6 +924,8 @@ impl Transposer {
             measured: true,
             sweep_wall_ns: sweep_started.elapsed().as_nanos() as u64,
             decision: None,
+            sim_stats: OnceLock::new(),
+            host_plan: OnceLock::new(),
         })
     }
 
@@ -1329,6 +1368,39 @@ mod tests {
             .unwrap();
         assert!(sweep.predicted_ns() <= quick.predicted_ns() + 1e-6);
         assert!(sweep.candidates_evaluated() >= quick.candidates_evaluated());
+    }
+
+    #[test]
+    fn gpu_sim_plans_simulate_once_and_build_the_host_kernel_lazily() {
+        let t = Transposer::new_k40c();
+        let shape = Shape::new(&[33, 5, 37]).unwrap();
+        let perm = Permutation::new(&[2, 1, 0]).unwrap();
+        let input: DenseTensor<u32> = DenseTensor::iota(shape.clone());
+        let expect = reference::transpose_reference(&input, &perm).unwrap();
+        let plan = t
+            .plan::<u32>(&shape, &perm, &TransposeOptions::default())
+            .unwrap();
+        assert!(plan.sim_stats.get().is_none() && plan.host_plan.get().is_none());
+        let (first_out, first) = t.execute(&plan, &input).unwrap();
+        assert_eq!(plan.sim_stats.get(), Some(&first.stats));
+        assert!(plan.host_plan.get().is_none(), "built on the second run");
+        let (second_out, second) = t.execute(&plan, &input).unwrap();
+        assert!(plan.host_plan.get().is_some());
+        assert_eq!(first_out.data(), expect.data());
+        assert_eq!(second_out.data(), expect.data());
+        assert_eq!(first.stats, second.stats);
+        assert_eq!(
+            first.kernel_time_ns.to_bits(),
+            second.kernel_time_ns.to_bits()
+        );
+        // Disjoint-write checking is a correctness property: those plans
+        // simulate every time and never build the host kernel.
+        let checked = t.plan::<u32>(&shape, &perm, &opts_checked()).unwrap();
+        for _ in 0..3 {
+            let (out, _) = t.execute(&checked, &input).unwrap();
+            assert_eq!(out.data(), expect.data());
+        }
+        assert!(checked.host_plan.get().is_none());
     }
 
     #[test]

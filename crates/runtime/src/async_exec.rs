@@ -26,12 +26,18 @@
 //!   follower receives the shared result (`Arc`) with its own
 //!   [`RequestTrace`] marked `coalesced`.
 //!
+//! A panic while a worker runs a request is caught at the worker
+//! boundary: the leader and every follower complete with an error, the
+//! single-flight key is cleared, and the failure is counted in the
+//! execute-phase failure series.
+//!
 //! Worker threads hold only a [`Weak`] reference to the service, so
 //! dropping the last service `Arc` tears the executor down: queues
 //! close, in-flight tickets fail with a shutdown error, threads join.
 
 use crate::service::{ServeError, TransposeRequest, TransposeResponse, TransposeService};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::{self, JoinHandle, Thread};
@@ -535,7 +541,15 @@ fn worker_loop<E: Element>(shared: &AsyncShared<E>, svc: &Weak<TransposeService<
             }
         };
         shared.executed.fetch_add(1, Ordering::Relaxed);
-        let leader = svc.run_async_leader(&item.req);
+        // A panic in plan or execute must not kill the worker: the
+        // leader and its followers complete with an error and the
+        // single-flight key is cleared below like any other.
+        let started = Instant::now();
+        let leader = panic::catch_unwind(AssertUnwindSafe(|| svc.run_async_leader(&item.req)))
+            .unwrap_or_else(|cause| {
+                let elapsed_ns = started.elapsed().as_nanos() as u64;
+                svc.async_leader_panicked(&item.req, elapsed_ns, cause.as_ref())
+            });
         let payload = Arc::new(leader);
         let followers = take_followers(shared, item.key);
         // Per-follower service accounting (request counters, ring

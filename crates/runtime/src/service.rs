@@ -259,17 +259,32 @@ impl Semaphore {
         }
     }
 
-    fn acquire(&self) {
+    /// Take a permit; it returns to the semaphore when the guard drops,
+    /// also when the holder panics.
+    fn acquire(&self) -> Permit<'_> {
         let mut p = self.permits.lock().expect("semaphore poisoned");
         while *p == 0 {
             p = self.freed.wait(p).expect("semaphore poisoned");
         }
         *p -= 1;
+        Permit(self)
     }
+}
 
-    fn release(&self) {
-        *self.permits.lock().expect("semaphore poisoned") += 1;
-        self.freed.notify_one();
+/// One held [`Semaphore`] permit.
+struct Permit<'a>(&'a Semaphore);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // Drop may run while unwinding, where a second panic aborts; the
+        // count is a single integer, valid after any interrupted update.
+        let mut p = self
+            .0
+            .permits
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *p += 1;
+        self.0.freed.notify_one();
     }
 }
 
@@ -589,12 +604,12 @@ impl<E: Element> TransposeService<E> {
             ..Default::default()
         };
         let tq = Instant::now();
-        self.in_flight.acquire();
+        let permit = self.in_flight.acquire();
         trace.queue_wait_ns = tq.elapsed().as_nanos() as u64;
         let t0 = Instant::now();
         let result = self.transposer.execute(plan, &req.input);
         let execute_ns = t0.elapsed().as_nanos() as u64;
-        self.in_flight.release();
+        drop(permit);
         trace.execute_ns = execute_ns;
         let outcome = match result {
             Ok((output, report)) => {
@@ -608,10 +623,15 @@ impl<E: Element> TransposeService<E> {
                     report.kernel_time_ns,
                 );
                 // Fold the foreground residual stream into refinement:
-                // every served request is also a (candidate, measured)
-                // training point, so cold keys refine the online model
-                // without waiting for the autotuner to re-measure them.
-                if let Some(sink) = &self.sink {
+                // served requests are also (candidate, measured) training
+                // points, so cold keys refine the online model without
+                // waiting for the autotuner to re-measure them. A GpuSim
+                // plan's simulated time is the same on every execution,
+                // so only the request that built the plan feeds it (one
+                // point per plan, no overweighted hot keys); CPU
+                // wall-clock times really vary and feed on every request.
+                let fresh_point = !cache_hit || plan.backend() == Backend::Cpu;
+                if let Some(sink) = self.sink.as_ref().filter(|_| fresh_point) {
                     sink.observe_candidate(plan.candidate(), report.kernel_time_ns);
                     self.metrics.record_residual_point();
                 }
@@ -818,6 +838,44 @@ impl<E: Element> TransposeService<E> {
             trace: out.trace,
             spans: out.spans,
             decision: out.decision,
+            coalesced: false,
+        }
+    }
+
+    /// Account a leader whose execution panicked on an async worker:
+    /// count it in the execute-phase failure series, leave an error
+    /// trace, and return the error outcome the leader and its coalesced
+    /// followers complete with.
+    pub(crate) fn async_leader_panicked(
+        &self,
+        req: &TransposeRequest<E>,
+        elapsed_ns: u64,
+        cause: &(dyn std::any::Any + Send),
+    ) -> AsyncOutcome<E> {
+        let what = cause
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| cause.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        self.metrics
+            .record_failure(RequestPhase::Execute, elapsed_ns);
+        let err = ServeError {
+            message: format!("request panicked: {what}"),
+        };
+        let trace = RequestTrace {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            start_ns: clock_ns(),
+            execute_ns: elapsed_ns,
+            shape_class: shape_class(req.input.shape().extents()),
+            error: Some(err.message.clone()),
+            ..Default::default()
+        };
+        self.finish_trace(trace.clone(), None);
+        AsyncOutcome {
+            result: Err(err),
+            trace,
+            spans: Vec::new(),
+            decision: None,
             coalesced: false,
         }
     }
@@ -1772,11 +1830,12 @@ mod tests {
         let req = TransposeRequest::new(input, Permutation::new(&[2, 3, 1, 0]).unwrap());
         svc.submit(&req).unwrap();
         svc.submit(&req).unwrap();
-        // Foreground residual stream: both served requests were also
-        // training points for the sink, counted separately from the
-        // autotuner's stream.
-        assert_eq!(svc.metrics().residual_points(), 2);
-        assert_eq!(sink.0.load(Ordering::Relaxed), 2);
+        // Foreground residual stream: the request that built the GpuSim
+        // plan was a training point for the sink (the cache hit repeats
+        // the same deterministic point, so it is not fed), counted
+        // separately from the autotuner's stream.
+        assert_eq!(svc.metrics().residual_points(), 1);
+        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
         assert_eq!(svc.autotune_once(), 1);
         let stats = svc.autotune_stats();
         assert_eq!(
@@ -1787,7 +1846,7 @@ mod tests {
         assert!(stats.points_streamed > 0);
         // The snapshot exports the foreground counter.
         let prom = svc.export_prometheus();
-        assert!(prom.contains("ttlg_residual_points_total 2"), "{prom}");
+        assert!(prom.contains("ttlg_residual_points_total 1"), "{prom}");
     }
 
     #[test]
@@ -2060,6 +2119,82 @@ mod tests {
         assert_eq!(stats.rejected, overloaded);
         assert_eq!(stats.executed, ok + 1);
         assert_eq!(stats.coalesced, 0, "coalescing disabled");
+    }
+
+    /// A panic on an async worker completes the leader and its
+    /// followers with an error instead of hanging them, clears the
+    /// single-flight key, keeps the worker alive, and is counted.
+    #[test]
+    fn async_worker_panic_fails_the_request_instead_of_hanging_it() {
+        #[derive(Default)]
+        struct PanicsOnFirstCall(AtomicBool);
+        impl MeasurementSink for PanicsOnFirstCall {
+            fn observe_candidate(&self, _c: &ttlg::Candidate, _measured_ns: f64) {
+                if !self.0.swap(true, Ordering::SeqCst) {
+                    panic!("injected sink fault");
+                }
+            }
+        }
+        let cfg = RuntimeConfig {
+            async_exec: crate::async_exec::AsyncConfig {
+                workers: 1,
+                ..Default::default()
+            },
+            ..RuntimeConfig::default()
+        };
+        let svc: Arc<TransposeService<u32>> = Arc::new(
+            TransposeService::with_config(Transposer::new_k40c(), cfg)
+                .with_measurement_sink(Arc::new(PanicsOnFirstCall::default())),
+        );
+        let input = Arc::new(DenseTensor::<u32>::iota(Shape::new(&[12, 10, 8]).unwrap()));
+        let perm = Permutation::new(&[2, 0, 1]).unwrap();
+        let req = TransposeRequest::new(Arc::clone(&input), perm.clone());
+        let wait = |t: &TicketHandle<u32>| {
+            t.wait_timeout(Duration::from_secs(5))
+                .expect("ticket completes instead of timing out")
+        };
+
+        // The leader panics in the sink; identical submissions either
+        // ride it (and share its error) or run after it (and succeed).
+        let leader = svc.submit_async(req.clone());
+        let riders: Vec<_> = (0..3).map(|_| svc.submit_async(req.clone())).collect();
+        let out = wait(&leader);
+        let err = out.result.as_ref().err().expect("the panic is an error");
+        assert!(
+            err.message.contains("injected sink fault"),
+            "{}",
+            err.message
+        );
+        assert!(!out.trace.ok && out.trace.error.is_some());
+        for t in &riders {
+            let out = wait(t);
+            assert_eq!(out.coalesced, out.result.is_err(), "only riders share it");
+        }
+        assert_eq!(svc.metrics().failures(), 1, "counted once, as execute");
+
+        // The key was cleared and the worker survived: an identical
+        // follow-up executes, and so do 50 more requests.
+        let expect = ttlg_tensor::reference::transpose_reference(&input, &perm).unwrap();
+        let out = wait(&svc.submit_async(req.clone()));
+        let resp = out.result.as_ref().expect("follow-up succeeds");
+        assert_eq!(resp.output.data(), expect.data());
+        let perms = [[2usize, 0, 1], [1, 0, 2], [0, 2, 1], [2, 1, 0]];
+        let tickets: Vec<_> = (0..50)
+            .map(|i| {
+                let p = Permutation::new(&perms[i % perms.len()]).unwrap();
+                svc.submit_async(TransposeRequest::new(Arc::clone(&input), p))
+            })
+            .collect();
+        for t in &tickets {
+            assert!(wait(t).result.is_ok());
+        }
+        let stats = svc.async_stats().expect("executor started");
+        assert_eq!(stats.submitted, 55);
+        assert_eq!(
+            stats.executed + stats.coalesced + stats.rejected,
+            stats.submitted
+        );
+        assert_eq!(svc.metrics().failures(), 1);
     }
 
     /// Satellite: 16-thread coalescing hammer. A single async worker is

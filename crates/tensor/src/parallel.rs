@@ -17,13 +17,21 @@ thread_local! {
 /// that small test machines do not oversubscribe, and further capped by
 /// any enclosing [`with_thread_cap`] scope.
 pub fn default_threads() -> usize {
-    let base = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(64);
+    let base = machine_threads();
     THREAD_CAP
         .with(|c| c.get())
         .map_or(base, |cap| base.min(cap))
+}
+
+/// The machine's worker-thread count: logical CPUs capped at 64, and
+/// *not* capped by any enclosing [`with_thread_cap`] scope. For values
+/// that outlive the call that computes them (e.g. a plan's thread
+/// setting), where the caller's momentary cap must not stick.
+pub fn machine_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(64)
 }
 
 /// Run `f` with [`default_threads`] capped at `cap` on this thread.
