@@ -18,17 +18,10 @@
 //! * Fig. 13 — bandwidth vs dimension sizes
 //! * Fig. 14 — the TTC benchmark suite
 
-pub mod async_study;
-pub mod autotune_study;
-pub mod cpu_study;
 pub mod figures;
-pub mod gateway_study;
 pub mod microbench;
 pub mod report;
 pub mod runner;
-pub mod serve_study;
-pub mod tail_study;
-pub mod trace_study;
 
 pub use report::Table;
 pub use runner::{CaseResult, Harness, SystemTimes};

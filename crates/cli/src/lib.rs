@@ -12,7 +12,6 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 use ttlg::{TransposeOptions, Transposer};
 use ttlg_baselines::cutt::{CuttLibrary, CuttMode};
 use ttlg_baselines::naive::NaiveTranspose;
@@ -67,54 +66,6 @@ USAGE:
                                                 trace (network/queue/plan/
                                                 execute and children) with the
                                                 planner decision trace
-  ttlg bench-serve [--perms=N] [--rounds=N] [--extents=E]
-                   [--metrics-format=text|json|prom] [--json-out=PATH]
-                                                replay a mixed-permutation
-                                                workload through ttlg-runtime;
-                                                text mode also writes a
-                                                BENCH_serve.json artifact
-  ttlg bench-serve --autotune [--perms=N] [--rounds=N] [--json-out=PATH]
-                                                compare model-only vs
-                                                measure-mode autotuned serving
-                                                and write BENCH_autotune.json
-  ttlg bench-serve --tail [--rounds=N] [--json-out=PATH]
-                                                tail-latency attribution study:
-                                                per-schema p50/p95/p99, the
-                                                dominant phase at p99, slowest
-                                                exemplars, SLO burn rates;
-                                                writes BENCH_tail.json
-  ttlg bench-serve --trace [--perms=N] [--rounds=N] [--json-out=PATH]
-                                                tracing/alerting study: serve a
-                                                skewed model over loopback
-                                                HTTP, watch the prediction-
-                                                drift alert fire and resolve
-                                                after autotune, and account for
-                                                trace sampling/drops; writes
-                                                BENCH_trace.json
-  ttlg bench-serve --cpu [--seconds=F] [--json-out=PATH]
-                                                CPU-backend study: real
-                                                wall-clock GB/s of the tiled
-                                                multithreaded CPU executor vs
-                                                the naive odometer across the
-                                                schema taxonomy, with thread
-                                                scaling and per-backend
-                                                prediction accuracy; writes
-                                                BENCH_cpu.json
-  ttlg bench-serve --gateway [--seconds=F] [--overload=F] [--json-out=PATH]
-                                                loopback gateway study: drive a
-                                                real ttlg-serve endpoint past
-                                                its per-tenant quotas, report
-                                                fairness, shed rate and
-                                                per-class p50/p95/p99; writes
-                                                BENCH_gateway.json
-  ttlg bench-serve --async [--seconds=F] [--overload=F] [--json-out=PATH]
-                                                async-submission study: hammer
-                                                submit_async with a duplicate-
-                                                heavy overload workload, with
-                                                in-flight coalescing off vs on;
-                                                reports throughput, executions
-                                                per request and p99 both ways;
-                                                writes BENCH_async.json
   ttlg serve [--addr=H:P] [--workers=N] [--queue-capacity=N]
              [--interactive-weight=N] [--rate=F] [--burst=F]
              [--max-connections=N] [--port-file=PATH] [--check]
@@ -182,7 +133,6 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         "profile" => cmd_profile(&rest),
         "contract" => cmd_contract(&rest),
         "trace" => cmd_trace(&rest),
-        "bench-serve" => cmd_bench_serve(&rest),
         "serve" => cmd_serve(&rest),
         "top" => cmd_top(&rest),
         "devices" => Ok(cmd_devices()),
@@ -391,7 +341,42 @@ fn cmd_profile(rest: &[&String]) -> Result<String, CliError> {
     Ok(prof.render())
 }
 
-/// `profile --tail`: replay the tail-study workload through a service
+/// The skewed tail workload: `rounds` passes over three hot rank-4
+/// permutations (repeated every round) plus a cold tail of one-off
+/// problems across several shape classes, shuffled with a fixed seed.
+/// Hot problems share one input tensor; cold problems get their own.
+fn tail_workload(rounds: usize) -> Vec<TransposeRequest<f64>> {
+    let hot_perms: [[usize; 4]; 3] = [[3, 1, 0, 2], [2, 3, 1, 0], [1, 0, 3, 2]];
+    let cold: [(&[usize], &[usize]); 4] = [
+        (&[32, 32], &[1, 0]),
+        (&[16, 16, 16], &[2, 1, 0]),
+        (&[8, 8, 8, 8], &[2, 3, 0, 1]),
+        (&[4, 4, 4, 4, 4], &[4, 3, 2, 1, 0]),
+    ];
+    let mut specs: Vec<(&[usize], &[usize])> = Vec::new();
+    for _ in 0..rounds {
+        specs.extend(hot_perms.iter().map(|p| (&[6usize, 5, 4, 3][..], &p[..])));
+        specs.extend(cold);
+    }
+    let mut rng = ttlg_tensor::rng::StdRng::seed_from_u64(0x7A11_57D1);
+    rng.shuffle(&mut specs);
+    let mut inputs: std::collections::HashMap<&[usize], Arc<DenseTensor<f64>>> =
+        std::collections::HashMap::new();
+    specs
+        .into_iter()
+        .map(|(extents, perm)| {
+            let input = inputs.entry(extents).or_insert_with(|| {
+                Arc::new(DenseTensor::<f64>::iota(
+                    Shape::new(extents).expect("fixed workload extents are valid"),
+                ))
+            });
+            let perm = Permutation::new(perm).expect("fixed workload perms are valid");
+            TransposeRequest::new(Arc::clone(input), perm)
+        })
+        .collect()
+}
+
+/// `profile --tail`: replay the skewed tail workload through a service
 /// whose trace ring holds the whole run, then render the ring as a
 /// flame-style phase profile plus the slowest retained exemplars.
 fn cmd_profile_tail(rest: &[&String]) -> Result<String, CliError> {
@@ -412,7 +397,7 @@ fn cmd_profile_tail(rest: &[&String]) -> Result<String, CliError> {
     if rounds == 0 {
         return Err(CliError::Usage("--rounds must be positive".into()));
     }
-    let reqs = ttlg_bench::tail_study::workload(rounds);
+    let reqs = tail_workload(rounds);
     let service = TransposeService::<f64>::with_config(
         Transposer::new_k40c(),
         RuntimeConfig {
@@ -491,51 +476,6 @@ fn cmd_contract(rest: &[&String]) -> Result<String, CliError> {
     }
     writeln!(s, "output     : {}", c.shape()).unwrap();
     Ok(s)
-}
-
-/// The first `take` permutations of `0..rank` in lexicographic order.
-fn perms_lex(rank: usize, take: usize) -> Vec<Permutation> {
-    fn rec(
-        rank: usize,
-        take: usize,
-        cur: &mut Vec<usize>,
-        used: &mut [bool],
-        out: &mut Vec<Permutation>,
-    ) {
-        if out.len() == take {
-            return;
-        }
-        if cur.len() == rank {
-            out.push(Permutation::new(cur).expect("valid by construction"));
-            return;
-        }
-        for i in 0..rank {
-            if !used[i] {
-                used[i] = true;
-                cur.push(i);
-                rec(rank, take, cur, used, out);
-                cur.pop();
-                used[i] = false;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    rec(
-        rank,
-        take,
-        &mut Vec::new(),
-        &mut vec![false; rank],
-        &mut out,
-    );
-    out
-}
-
-/// Output format of `bench-serve`'s metrics block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricsFormat {
-    Text,
-    Json,
-    Prom,
 }
 
 /// `ttlg serve`: run the network gateway until killed. With `--check`,
@@ -853,403 +793,6 @@ fn cmd_trace(rest: &[&String]) -> Result<String, CliError> {
     result
 }
 
-/// Layout version stamped into every `BENCH_*.json` artifact. Bump when
-/// a study changes its document shape, so downstream tooling can reject
-/// artifacts written by an incompatible binary.
-pub const ARTIFACT_SCHEMA_VERSION: u32 = 1;
-
-/// Prefix a study document with its provenance: schema version, the
-/// writer's thread count, and the study name derived from the default
-/// filename. The stamp rides inside the same JSON object, so existing
-/// consumers keep parsing unchanged.
-fn stamp_provenance(json: &str, default_path: &str) -> String {
-    let study = default_path
-        .trim_start_matches("BENCH_")
-        .trim_end_matches(".json");
-    let Some(body) = json.strip_prefix('{') else {
-        return json.to_string();
-    };
-    format!(
-        "{{\n  \"schema_version\": {ARTIFACT_SCHEMA_VERSION},\n  \
-         \"host_threads\": {},\n  \"artifact\": \"{study}\",{body}",
-        ttlg_tensor::parallel::default_threads()
-    )
-}
-
-/// Write a study artifact: `--json-out=PATH` wins, otherwise the
-/// study's default filename. Every bench-serve mode funnels through
-/// this one path so the flag behaves identically everywhere — and every
-/// artifact gets the same provenance stamp.
-fn write_artifact(
-    json_out: Option<String>,
-    default_path: &str,
-    json: &str,
-) -> Result<String, CliError> {
-    let path = json_out.unwrap_or_else(|| default_path.to_string());
-    std::fs::write(&path, stamp_provenance(json, default_path))
-        .map_err(|e| CliError::Failed(format!("could not write {path}: {e}")))?;
-    Ok(path)
-}
-
-/// Parse a prior `BENCH_serve.json` into a regression baseline:
-/// `(requests_per_s, exec_p99_us)`. Only artifacts carrying the
-/// matching provenance stamp (schema version + `"artifact": "serve"`)
-/// qualify; anything else — other studies, hand-edited files, older
-/// layouts — is silently ignored. `exec_p99_us` is `None` for
-/// artifacts written before the field existed.
-fn parse_serve_baseline(text: &str) -> Option<(f64, Option<f64>)> {
-    let doc = ttlg_serve::json::parse(text.as_bytes()).ok()?;
-    let version = doc.get("schema_version")?.as_usize()?;
-    if version != ARTIFACT_SCHEMA_VERSION as usize {
-        return None;
-    }
-    if doc.get("artifact")?.as_str()? != "serve" {
-        return None;
-    }
-    let rps = doc.get("requests_per_s")?.as_f64()?;
-    let p99 = doc.get("exec_p99_us").and_then(|v| v.as_f64());
-    Some((rps, p99))
-}
-
-fn cmd_bench_serve(rest: &[&String]) -> Result<String, CliError> {
-    let mut distinct = 16usize;
-    let mut rounds = 4usize;
-    let mut extents = vec![8usize, 6, 5, 4];
-    let mut extents_given = false;
-    let mut format = MetricsFormat::Text;
-    let mut autotune = false;
-    let mut tail = false;
-    let mut gateway = false;
-    let mut trace = false;
-    let mut cpu = false;
-    let mut r#async = false;
-    let mut seconds = 1.0f64;
-    let mut overload = 2.0f64;
-    let mut seconds_given = false;
-    let mut overload_given = false;
-    let mut json_out: Option<String> = None;
-    for a in rest {
-        if let Some(v) = a.strip_prefix("--perms=") {
-            distinct = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --perms value {v:?}")))?;
-        } else if let Some(v) = a.strip_prefix("--rounds=") {
-            rounds = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --rounds value {v:?}")))?;
-        } else if let Some(v) = a.strip_prefix("--extents=") {
-            extents = parse_usize_list(v, "extents")?;
-            extents_given = true;
-        } else if let Some(v) = a.strip_prefix("--json-out=") {
-            json_out = Some(v.to_string());
-        } else if a.as_str() == "--autotune" {
-            autotune = true;
-        } else if a.as_str() == "--tail" {
-            tail = true;
-        } else if a.as_str() == "--gateway" {
-            gateway = true;
-        } else if a.as_str() == "--trace" {
-            trace = true;
-        } else if a.as_str() == "--cpu" {
-            cpu = true;
-        } else if a.as_str() == "--async" {
-            r#async = true;
-        } else if let Some(v) = a.strip_prefix("--seconds=") {
-            seconds = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --seconds value {v:?}")))?;
-            seconds_given = true;
-        } else if let Some(v) = a.strip_prefix("--overload=") {
-            overload = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("bad --overload value {v:?}")))?;
-            overload_given = true;
-        } else if let Some(v) = a.strip_prefix("--metrics-format=") {
-            format = match v {
-                "text" => MetricsFormat::Text,
-                "json" => MetricsFormat::Json,
-                "prom" => MetricsFormat::Prom,
-                other => {
-                    return Err(CliError::Usage(format!(
-                        "bad --metrics-format value {other:?} (text|json|prom)"
-                    )))
-                }
-            };
-        } else {
-            return Err(CliError::Usage(format!(
-                "bench-serve does not understand {a:?}"
-            )));
-        }
-    }
-    if distinct == 0 || rounds == 0 {
-        return Err(CliError::Usage(
-            "--perms and --rounds must be positive".into(),
-        ));
-    }
-    if overload_given && !gateway && !r#async {
-        return Err(CliError::Usage(
-            "--overload only applies with --gateway or --async".into(),
-        ));
-    }
-    if seconds_given && !gateway && !cpu && !r#async {
-        return Err(CliError::Usage(
-            "--seconds only applies with --gateway, --cpu, or --async".into(),
-        ));
-    }
-    if r#async {
-        if cpu || gateway || tail || autotune || trace || extents_given {
-            return Err(CliError::Usage(
-                "--async runs the fixed duplicate-heavy workload; \
-                 --cpu/--gateway/--tail/--autotune/--trace/--extents do not apply"
-                    .into(),
-            ));
-        }
-        if !(seconds.is_finite() && seconds > 0.0 && overload.is_finite() && overload > 0.0) {
-            return Err(CliError::Usage(
-                "--seconds and --overload must be positive".into(),
-            ));
-        }
-        let study = ttlg_bench::async_study::run(seconds, overload);
-        let path = write_artifact(json_out, "BENCH_async.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if cpu {
-        if gateway || tail || autotune || trace || extents_given {
-            return Err(CliError::Usage(
-                "--cpu runs the fixed taxonomy sweep; --gateway/--tail/--autotune/--trace/--extents do not apply"
-                    .into(),
-            ));
-        }
-        if !(seconds.is_finite() && seconds > 0.0) {
-            return Err(CliError::Usage("--seconds must be positive".into()));
-        }
-        let study = ttlg_bench::cpu_study::run(seconds);
-        let path = write_artifact(json_out, "BENCH_cpu.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if trace {
-        if gateway || tail || autotune || extents_given {
-            return Err(CliError::Usage(
-                "--trace runs its own loopback workload; --gateway/--tail/--autotune/--extents do not apply"
-                    .into(),
-            ));
-        }
-        if distinct > 24 {
-            return Err(CliError::Usage(format!(
-                "the trace study uses rank-4 permutations (max 24), --perms={distinct} asked for more"
-            )));
-        }
-        let study = ttlg_bench::trace_study::run(distinct, rounds);
-        let path = write_artifact(json_out, "BENCH_trace.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if gateway {
-        if tail || autotune || extents_given {
-            return Err(CliError::Usage(
-                "--gateway runs its own loopback workload; --tail/--autotune/--extents do not apply"
-                    .into(),
-            ));
-        }
-        if !(seconds.is_finite() && seconds > 0.0 && overload.is_finite() && overload > 0.0) {
-            return Err(CliError::Usage(
-                "--seconds and --overload must be positive".into(),
-            ));
-        }
-        let study = ttlg_bench::gateway_study::run(seconds, overload);
-        let path = write_artifact(json_out, "BENCH_gateway.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if tail {
-        if autotune || extents_given {
-            return Err(CliError::Usage(
-                "--tail runs the fixed skewed workload; --autotune and --extents do not apply"
-                    .into(),
-            ));
-        }
-        let study = ttlg_bench::tail_study::run(rounds);
-        let path = write_artifact(json_out, "BENCH_tail.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    if autotune {
-        if extents_given {
-            return Err(CliError::Usage(
-                "--autotune runs the fixed rank-4 study workload; --extents does not apply".into(),
-            ));
-        }
-        if distinct > 24 {
-            return Err(CliError::Usage(format!(
-                "the autotune study uses rank-4 permutations (max 24), --perms={distinct} asked for more"
-            )));
-        }
-        let study = ttlg_bench::autotune_study::run(distinct, rounds);
-        let path = write_artifact(json_out, "BENCH_autotune.json", &study.to_json())?;
-        let mut s = study.render();
-        writeln!(s, "wrote {path}").unwrap();
-        return Ok(s);
-    }
-    let shape = Shape::new(&extents).map_err(|e| CliError::Usage(e.to_string()))?;
-    let perms = perms_lex(shape.rank(), distinct);
-    if perms.len() < distinct {
-        return Err(CliError::Usage(format!(
-            "rank {} has only {} permutations, --perms={distinct} asked for more",
-            shape.rank(),
-            perms.len()
-        )));
-    }
-
-    // One batch per round: the first round populates the plan cache,
-    // later rounds replay the same keys and should be pure hits.
-    let input = Arc::new(DenseTensor::<f64>::iota(shape.clone()));
-    let reqs: Vec<TransposeRequest<f64>> = perms
-        .iter()
-        .map(|p| TransposeRequest::new(Arc::clone(&input), p.clone()))
-        .collect();
-    let service = TransposeService::<f64>::new_k40c();
-    let t0 = Instant::now();
-    let mut failures = 0usize;
-    for _ in 0..rounds {
-        failures += service
-            .submit_batch(&reqs)
-            .iter()
-            .filter(|r| r.is_err())
-            .count();
-    }
-    let elapsed = t0.elapsed();
-
-    let total = distinct * rounds;
-    let stats = service.cache_stats();
-
-    // The perf-trajectory artifact: written in text mode (the default
-    // invocation) or whenever a destination is named explicitly. A
-    // prior artifact at the same destination becomes the regression
-    // baseline: its throughput and exec p99 are folded into a
-    // `baseline_delta` section before it is overwritten.
-    let mut baseline_note = String::new();
-    let artifact = if json_out.is_some() || format == MetricsFormat::Text {
-        let wall_ms = elapsed.as_secs_f64() * 1e3;
-        let rps = total as f64 / elapsed.as_secs_f64();
-        let prediction = service.metrics().prediction();
-        let p99 = service.metrics().exec_latency.quantile_us(0.99);
-        let exec_p99_us = if p99.is_finite() { p99 } else { 0.0 };
-        let dest = json_out
-            .clone()
-            .unwrap_or_else(|| "BENCH_serve.json".to_string());
-        let baseline = std::fs::read_to_string(&dest)
-            .ok()
-            .and_then(|text| parse_serve_baseline(&text));
-        let mut json = format!(
-            "{{\n  \"study\": \"serve\",\n  \"requests\": {total},\n  \
-             \"distinct_perms\": {distinct},\n  \"rounds\": {rounds},\n  \
-             \"wall_ms\": {wall_ms},\n  \"requests_per_s\": {rps},\n  \
-             \"exec_p99_us\": {exec_p99_us},\n  \
-             \"failures\": {failures},\n  \"cache_hits\": {},\n  \
-             \"cache_misses\": {},\n  \"cache_evictions\": {},\n  \
-             \"prediction_samples\": {},\n  \"geo_mean_error\": {}",
-            stats.hits,
-            stats.misses,
-            stats.evictions,
-            prediction.total_count(),
-            prediction.overall_geo_mean_error(),
-        );
-        if let Some((base_rps, base_p99)) = baseline {
-            let throughput_ratio = if base_rps > 0.0 { rps / base_rps } else { 1.0 };
-            let p99_ratio = base_p99
-                .filter(|b| *b > 0.0 && exec_p99_us > 0.0)
-                .map(|b| exec_p99_us / b);
-            write!(
-                json,
-                ",\n  \"baseline_delta\": {{\n    \
-                 \"baseline_requests_per_s\": {base_rps},\n    \
-                 \"throughput_ratio\": {throughput_ratio},\n    \
-                 \"baseline_exec_p99_us\": {},\n    \
-                 \"p99_ratio\": {}\n  }}",
-                base_p99.map_or("null".to_string(), |b| b.to_string()),
-                p99_ratio.map_or("null".to_string(), |r| r.to_string()),
-            )
-            .unwrap();
-            writeln!(
-                baseline_note,
-                "baseline  : throughput x{throughput_ratio:.2}{} vs prior artifact",
-                p99_ratio.map_or(String::new(), |r| format!(", exec p99 x{r:.2}")),
-            )
-            .unwrap();
-            if throughput_ratio < 0.9 {
-                writeln!(
-                    baseline_note,
-                    "WARNING: throughput regressed {:.0}% vs baseline ({:.0} -> {:.0} req/s)",
-                    (1.0 - throughput_ratio) * 100.0,
-                    base_rps,
-                    rps
-                )
-                .unwrap();
-            }
-            if let Some(r) = p99_ratio {
-                if r > 1.1 {
-                    writeln!(
-                        baseline_note,
-                        "WARNING: exec p99 regressed {:.0}% vs baseline ({:.1} -> {:.1} us)",
-                        (r - 1.0) * 100.0,
-                        base_p99.unwrap_or(0.0),
-                        exec_p99_us
-                    )
-                    .unwrap();
-                }
-            }
-        }
-        json.push_str("\n}\n");
-        Some(write_artifact(json_out, "BENCH_serve.json", &json)?)
-    } else {
-        None
-    };
-
-    // The machine-readable formats are emitted bare so the output can be
-    // piped straight into a scraper or parser.
-    match format {
-        MetricsFormat::Json => return Ok(service.export_json()),
-        MetricsFormat::Prom => return Ok(service.export_prometheus()),
-        MetricsFormat::Text => {}
-    }
-    let mut s = String::new();
-    writeln!(
-        s,
-        "workload  : {total} requests = {rounds} rounds x {distinct} permutations of {shape}"
-    )
-    .unwrap();
-    writeln!(
-        s,
-        "wall-clock: {:.2} ms ({:.0} requests/s)",
-        elapsed.as_secs_f64() * 1e3,
-        total as f64 / elapsed.as_secs_f64()
-    )
-    .unwrap();
-    writeln!(s, "failures  : {failures}").unwrap();
-    writeln!(
-        s,
-        "plan cache: {} hits, {} misses, {} evictions",
-        stats.hits, stats.misses, stats.evictions
-    )
-    .unwrap();
-    if !baseline_note.is_empty() {
-        s.push_str(&baseline_note);
-    }
-    s.push('\n');
-    s.push_str(&service.metrics_report());
-    if let Some(path) = artifact {
-        writeln!(s, "\nwrote {path}").unwrap();
-    }
-    Ok(s)
-}
-
 fn cmd_devices() -> String {
     let mut s = String::new();
     for d in [DeviceConfig::k40c(), DeviceConfig::test_tiny()] {
@@ -1335,99 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_serve_command() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("serve.json");
-        let out = run(&[
-            "bench-serve",
-            "--perms=4",
-            "--rounds=2",
-            "--extents=6,5,4",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("8 requests = 2 rounds x 4 permutations"));
-        assert!(out.contains("plan cache: 4 hits, 4 misses"));
-        assert!(out.contains("ttlg-runtime metrics"));
-        assert!(out.contains("failures  : 0"));
-        assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"study\": \"serve\""));
-        assert!(json.contains("\"requests\": 8"));
-        assert!(json.contains("\"geo_mean_error\""));
-    }
-
-    #[test]
-    fn bench_serve_autotune_writes_artifact() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("autotune.json");
-        let out = run(&[
-            "bench-serve",
-            "--autotune",
-            "--perms=3",
-            "--rounds=2",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("model-only"), "{out}");
-        assert!(out.contains("autotuned"), "{out}");
-        assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"geo_error_before\""));
-        assert!(json.contains("\"geo_error_after\""));
-        assert!(json.contains("\"plans_warmed\": 3"));
-    }
-
-    #[test]
-    fn bench_serve_cpu_writes_artifact_with_provenance() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cpu.json");
-        let out = run(&[
-            "bench-serve",
-            "--cpu",
-            "--seconds=1",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("tiled CPU backend vs naive odometer"), "{out}");
-        assert!(out.contains("geo-mean speedup"), "{out}");
-        assert!(out.contains("thread scaling"), "{out}");
-        assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        // The provenance stamp leads every artifact.
-        assert!(json.starts_with("{\n  \"schema_version\": 1,"), "{json}");
-        assert!(json.contains("\"host_threads\":"));
-        assert!(json.contains("\"artifact\": \"cpu\""));
-        assert!(json.contains("\"study\": \"cpu\""));
-        assert!(json.contains("\"geo_mean_speedup\""));
-        assert!(json.contains("\"classes\""));
-        assert!(json.contains("\"scaling\""));
-        assert!(json.contains("\"cpu_pred_geo_err\""));
-        assert!(json.contains("\"backend_requests_cpu\""));
-        // --seconds gates on --gateway or --cpu; --overload stays
-        // gateway-only; --cpu rejects the other studies' knobs.
-        assert!(matches!(
-            run(&["bench-serve", "--seconds=1"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--cpu", "--overload=2"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--cpu", "--tail"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--cpu", "--seconds=0"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
     fn profile_tail_renders_flame_tree() {
         let out = run(&["profile", "--tail", "--rounds=2"]).unwrap();
         assert!(out.contains("phase profile of the trace ring"), "{out}");
@@ -1440,117 +890,6 @@ mod tests {
         ));
         assert!(matches!(
             run(&["profile", "--tail", "--rounds=0"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_tail_writes_artifact() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tail.json");
-        let out = run(&[
-            "bench-serve",
-            "--tail",
-            "--rounds=2",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("tail-latency attribution"), "{out}");
-        assert!(out.contains("dominant @p99"), "{out}");
-        assert!(out.contains("slo:"), "{out}");
-        assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"study\": \"tail\""));
-        assert!(json.contains("\"dominant_phase_at_p99\""));
-        assert!(json.contains("\"phase_at_p99\""));
-        assert!(json.contains("\"exemplars\": [{"));
-        assert!(json.contains("\"slo\""));
-    }
-
-    #[test]
-    fn bench_serve_gateway_writes_artifact() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gateway.json");
-        let out = run(&[
-            "bench-serve",
-            "--gateway",
-            "--seconds=0.2",
-            "--overload=2.0",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("gateway loopback study"), "{out}");
-        assert!(out.contains("shed rate"), "{out}");
-        assert!(out.contains("fairness"), "{out}");
-        assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"study\": \"gateway\""));
-        assert!(json.contains("\"shed_rate\""));
-        assert!(json.contains("\"classes\""));
-        assert!(json.contains("\"tenants\""));
-        // Conflicts and misuse are usage errors, not silent ignores.
-        assert!(matches!(
-            run(&["bench-serve", "--gateway", "--tail"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--seconds=1"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--gateway", "--seconds=0"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_async_writes_artifact_with_provenance() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("async.json");
-        let out = run(&[
-            "bench-serve",
-            "--async",
-            "--seconds=0.2",
-            "--overload=2.0",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("async submission coalescing study"), "{out}");
-        assert!(out.contains("fewer kernels"), "{out}");
-        assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        // The provenance stamp leads every artifact.
-        assert!(json.starts_with("{\n  \"schema_version\": 1,"), "{json}");
-        assert!(json.contains("\"host_threads\":"));
-        assert!(json.contains("\"artifact\": \"async\""));
-        assert!(json.contains("\"study\": \"async\""));
-        assert!(json.contains("\"baseline\""));
-        assert!(json.contains("\"coalesced\""));
-        assert!(json.contains("\"executions_per_request\""));
-        assert!(json.contains("\"p99_ratio\""));
-        // --async is exclusive with the other studies and validates its
-        // knobs like --gateway does.
-        assert!(matches!(
-            run(&["bench-serve", "--async", "--cpu"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--async", "--tail"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--async", "--extents=4,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--async", "--seconds=0"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--overload=2"]),
             Err(CliError::Usage(_))
         ));
     }
@@ -1600,130 +939,6 @@ mod tests {
         assert!(matches!(run(&["trace", "16,8,4"]), Err(CliError::Usage(_))));
         assert!(matches!(
             run(&["trace", "16,8,4", "1,0"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_trace_writes_artifact() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        let out = run(&[
-            "bench-serve",
-            "--trace",
-            "--perms=4",
-            "--rounds=2",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("tracing & drift-alert study"), "{out}");
-        assert!(out.contains("prediction-drift rule"), "{out}");
-        assert!(out.contains("wrote"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"study\": \"trace\""));
-        assert!(json.contains("\"drift_fired\": true"));
-        assert!(json.contains("\"drift_resolved\": true"));
-        assert!(json.contains("\"sampled_traces\""));
-        assert!(json.contains("\"dropped_traces\""));
-        // Conflicts are usage errors, not silent ignores.
-        assert!(matches!(
-            run(&["bench-serve", "--trace", "--gateway"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--trace", "--tail"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--trace", "--extents=6,5,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--trace", "--perms=25"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_tail_rejects_bad_flags() {
-        assert!(matches!(
-            run(&["bench-serve", "--tail", "--extents=6,5,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--tail", "--autotune"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_autotune_rejects_bad_flags() {
-        assert!(matches!(
-            run(&["bench-serve", "--autotune", "--extents=6,5,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--autotune", "--perms=25"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_prometheus_format() {
-        let out = run(&[
-            "bench-serve",
-            "--perms=4",
-            "--rounds=2",
-            "--extents=6,5,4",
-            "--metrics-format=prom",
-        ])
-        .unwrap();
-        assert!(!out.trim().is_empty(), "metrics must be non-empty");
-        assert!(out.contains("# TYPE ttlg_requests_total counter"), "{out}");
-        assert!(out.contains("ttlg_requests_total{schema="), "{out}");
-        assert!(
-            out.contains("ttlg_exec_latency_us_quantile{quantile=\"0.5\"}"),
-            "{out}"
-        );
-        assert!(out.contains("quantile=\"0.95\""), "{out}");
-        assert!(out.contains("quantile=\"0.99\""), "{out}");
-        assert!(out.contains("ttlg_prediction_samples_total"), "{out}");
-        assert!(out.contains("ttlg_prediction_geo_mean_error"), "{out}");
-        // Every non-comment line parses as `name{labels} value`.
-        for line in out.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
-            let (_, value) = line.rsplit_once(' ').expect("name value");
-            assert!(value.parse::<f64>().is_ok(), "unparsable value: {line}");
-        }
-    }
-
-    #[test]
-    fn bench_serve_json_format() {
-        let out = run(&[
-            "bench-serve",
-            "--perms=2",
-            "--rounds=1",
-            "--extents=6,5,4",
-            "--metrics-format=json",
-        ])
-        .unwrap();
-        assert!(out.starts_with('{') && out.trim_end().ends_with('}'));
-        assert!(out.contains("\"ttlg_requests_total\""), "{out}");
-        assert!(out.contains("\"histograms\""), "{out}");
-        assert!(matches!(
-            run(&["bench-serve", "--metrics-format=xml"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn bench_serve_rejects_impossible_perm_count() {
-        assert!(matches!(
-            run(&["bench-serve", "--perms=9", "--extents=4,4"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&["bench-serve", "--bogus"]),
             Err(CliError::Usage(_))
         ));
     }
@@ -1807,61 +1022,6 @@ mod tests {
         assert_eq!(sparkline(&[1.0, 1.0]), "▁▁", "flat series stays low");
         let line = sparkline(&[0.0, f64::NAN, 7.0]);
         assert_eq!(line, "▁█", "non-finite skipped, extremes span the bars");
-    }
-
-    /// A prior serve artifact at the destination becomes the regression
-    /// baseline: the new artifact carries a `baseline_delta` section
-    /// and the text output warns when throughput or p99 regress >10%.
-    #[test]
-    fn bench_serve_reports_baseline_delta_and_warns_on_regression() {
-        let dir = std::env::temp_dir().join("ttlg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("serve-baseline.json");
-        // An impossibly fast baseline: any real run regresses >10%.
-        std::fs::write(
-            &path,
-            "{\n  \"schema_version\": 1,\n  \"host_threads\": 8,\n  \
-             \"artifact\": \"serve\",\n  \"study\": \"serve\",\n  \
-             \"requests_per_s\": 1e12,\n  \"exec_p99_us\": 1e-6\n}\n",
-        )
-        .unwrap();
-        let out = run(&[
-            "bench-serve",
-            "--perms=4",
-            "--rounds=2",
-            "--extents=6,5,4",
-            &format!("--json-out={}", path.display()),
-        ])
-        .unwrap();
-        assert!(out.contains("baseline  : throughput x"), "{out}");
-        assert!(out.contains("WARNING: throughput regressed"), "{out}");
-        assert!(out.contains("WARNING: exec p99 regressed"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"exec_p99_us\""), "{json}");
-        assert!(json.contains("\"baseline_delta\""), "{json}");
-        assert!(json.contains("\"throughput_ratio\""), "{json}");
-        assert!(json.contains("\"p99_ratio\""), "{json}");
-        // A non-serve artifact at the destination is not a baseline.
-        let other = dir.join("serve-baseline-other.json");
-        std::fs::write(
-            &other,
-            "{\n  \"schema_version\": 1,\n  \"artifact\": \"cpu\",\n  \
-             \"requests_per_s\": 1e12\n}\n",
-        )
-        .unwrap();
-        let out = run(&[
-            "bench-serve",
-            "--perms=2",
-            "--rounds=1",
-            "--extents=6,5,4",
-            &format!("--json-out={}", other.display()),
-        ])
-        .unwrap();
-        assert!(!out.contains("baseline  :"), "{out}");
-        let json = std::fs::read_to_string(&other).unwrap();
-        assert!(!json.contains("baseline_delta"), "{json}");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&other);
     }
 
     #[test]

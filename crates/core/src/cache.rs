@@ -1,28 +1,25 @@
 //! Plan caching for the repeated-use scenario.
 //!
 //! The paper's evaluation distinguishes single-use (plan + one run) from
-//! repeated-use (plan once, run many times — Fig. 12). This module makes
-//! the repeated-use pattern a one-liner and scales it to many concurrent
-//! clients:
+//! repeated-use (plan once, run many times — Fig. 12). This module serves
+//! the repeated-use pattern to many concurrent clients.
 //!
-//! * [`ShardedPlanCache`] — the concurrent engine: plans keyed by
-//!   `(extents, permutation, options fingerprint)` across N mutex shards,
-//!   **single-flight** planning (concurrent misses on one key block on a
-//!   single builder instead of racing), per-shard LRU eviction under a
-//!   configurable capacity, and lock-free atomic hit/miss/eviction
-//!   counters. `ttlg-runtime` builds its multi-tenant service on this
-//!   type.
-//! * [`PlanCache`] — the original single-tenant API, kept as a thin
-//!   compatibility wrapper over one unbounded shard.
+//! [`ShardedPlanCache`] keys plans by `(extents, permutation, options
+//! fingerprint)` across N mutex shards, with **single-flight** planning
+//! (concurrent misses on one key block on a single builder instead of
+//! racing), per-shard LRU eviction under a configurable capacity, and
+//! lock-free atomic hit/miss/eviction counters. Its one fetch path is
+//! [`ShardedPlanCache::get_or_plan_keyed_timed`]; `ttlg-runtime` builds
+//! its multi-tenant service on it.
 
 use crate::backend::Backend;
-use crate::plan::{Plan, PlanError, TransposeOptions, TransposeReport, Transposer};
+use crate::plan::{Plan, PlanError, TransposeOptions, Transposer};
 use crate::schema::Schema;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use ttlg_tensor::{DenseTensor, Element, Permutation, Shape};
+use ttlg_tensor::{Element, Permutation, Shape};
 
 /// Cache key: extents + permutation + the options that affect planning.
 ///
@@ -232,6 +229,25 @@ impl<E: Element> Shard<E> {
 ///   fully in parallel;
 /// * planning happens outside the shard lock, so a slow build never
 ///   blocks hits on other keys in the same shard.
+///
+/// ```
+/// use ttlg::{PlanKey, ShardedPlanCache, TransposeOptions, Transposer};
+/// use ttlg_tensor::{DenseTensor, Permutation, Shape};
+///
+/// let t = Transposer::new_k40c();
+/// let cache: ShardedPlanCache<f64> = ShardedPlanCache::new();
+/// let input: DenseTensor<f64> = DenseTensor::iota(Shape::new(&[16, 16]).unwrap());
+/// let perm = Permutation::new(&[1, 0]).unwrap();
+/// let opts = TransposeOptions::default();
+/// let key = PlanKey::new(input.shape(), &perm, &opts);
+/// for _ in 0..3 {
+///     let (plan, _hit, _timing) = cache
+///         .get_or_plan_keyed_timed(&t, &key, input.shape(), &perm, &opts)
+///         .unwrap();
+///     t.execute(&plan, &input).unwrap();
+/// }
+/// assert_eq!(cache.stats().misses, 1); // planned once, reused twice
+/// ```
 pub struct ShardedPlanCache<E: Element> {
     shards: Vec<Shard<E>>,
     capacity_per_shard: usize,
@@ -271,42 +287,16 @@ impl<E: Element> ShardedPlanCache<E> {
     /// slot is released, the error is returned to the builder, and one
     /// waiter takes over as the next builder (so a transient failure does
     /// not wedge the key).
-    pub fn get_or_plan_keyed(
-        &self,
-        t: &Transposer,
-        key: &PlanKey,
-        shape: &Shape,
-        perm: &Permutation,
-        opts: &TransposeOptions,
-    ) -> Result<Arc<Plan<E>>, PlanError> {
-        self.get_or_plan_keyed_flagged(t, key, shape, perm, opts)
-            .map(|(plan, _)| plan)
-    }
-
-    /// [`Self::get_or_plan_keyed`] plus per-call attribution: the returned
-    /// flag is `true` when this call was served from the cache (including
-    /// waiting out another caller's in-flight build) and `false` when this
-    /// call built the plan itself. The aggregate counters in
-    /// [`Self::stats`] cannot tell an individual caller which side it was
-    /// on; the runtime's request traces need to know.
-    pub fn get_or_plan_keyed_flagged(
-        &self,
-        t: &Transposer,
-        key: &PlanKey,
-        shape: &Shape,
-        perm: &Permutation,
-        opts: &TransposeOptions,
-    ) -> Result<(Arc<Plan<E>>, bool), PlanError> {
-        self.get_or_plan_keyed_timed(t, key, shape, perm, opts)
-            .map(|(plan, hit, _)| (plan, hit))
-    }
-
-    /// [`Self::get_or_plan_keyed_flagged`] plus a wall-clock split of
-    /// where the fetch spent its time: the lookup side (shard lock,
-    /// LRU touch, waiting out another caller's single-flight build) vs
-    /// the build side (`Transposer::plan` itself; 0 on a hit). The
-    /// tracing layer renders these as the `cache-lookup` and
-    /// `plan-build` child spans of `plan`.
+    ///
+    /// The returned flag is `true` when this call was served from the
+    /// cache (including waiting out another caller's in-flight build) and
+    /// `false` when this call built the plan itself; the aggregate
+    /// counters in [`Self::stats`] cannot tell an individual caller which
+    /// side it was on. The [`FetchTiming`] splits the fetch's wall clock
+    /// into the lookup side (shard lock, LRU touch, waiting out another
+    /// caller's build) and the build side (`Transposer::plan` itself; 0
+    /// on a hit); the tracing layer renders these as the `cache-lookup`
+    /// and `plan-build` child spans of `plan`.
     pub fn get_or_plan_keyed_timed(
         &self,
         t: &Transposer,
@@ -403,18 +393,6 @@ impl<E: Element> ShardedPlanCache<E> {
                 Err(e)
             }
         }
-    }
-
-    /// Fetch the plan for `(shape, perm, opts)`, building it on first use.
-    pub fn get_or_plan(
-        &self,
-        t: &Transposer,
-        shape: &Shape,
-        perm: &Permutation,
-        opts: &TransposeOptions,
-    ) -> Result<Arc<Plan<E>>, PlanError> {
-        let key = PlanKey::new(shape, perm, opts);
-        self.get_or_plan_keyed(t, &key, shape, perm, opts)
     }
 
     /// Install (or replace) the resident plan for `key` without touching
@@ -530,17 +508,6 @@ impl<E: Element> ShardedPlanCache<E> {
         }
     }
 
-    /// Transpose with plan reuse.
-    pub fn transpose(
-        &self,
-        t: &Transposer,
-        input: &DenseTensor<E>,
-        perm: &Permutation,
-    ) -> Result<(DenseTensor<E>, TransposeReport), PlanError> {
-        let plan = self.get_or_plan(t, input.shape(), perm, &TransposeOptions::default())?;
-        t.execute(&plan, input)
-    }
-
     /// Number of resident plans (in-flight builds excluded).
     pub fn len(&self) -> usize {
         self.shards
@@ -595,104 +562,48 @@ impl<E: Element> Default for ShardedPlanCache<E> {
     }
 }
 
-/// A concurrent cache of transposition plans for one element type.
-///
-/// Compatibility wrapper over a single unbounded [`ShardedPlanCache`]
-/// shard: same API as the original `PlanCache`, now with single-flight
-/// planning (racing callers no longer build duplicate plans) and atomic
-/// counters (stats can no longer drift from the plan map).
-///
-/// ```
-/// use ttlg::{PlanCache, Transposer};
-/// use ttlg_tensor::{DenseTensor, Permutation, Shape};
-///
-/// let t = Transposer::new_k40c();
-/// let cache: PlanCache<f64> = PlanCache::new();
-/// let input: DenseTensor<f64> = DenseTensor::iota(Shape::new(&[16, 16]).unwrap());
-/// let perm = Permutation::new(&[1, 0]).unwrap();
-/// for _ in 0..3 {
-///     cache.transpose(&t, &input, &perm).unwrap();
-/// }
-/// assert_eq!(cache.stats().misses, 1); // planned once, reused twice
-/// ```
-pub struct PlanCache<E: Element> {
-    inner: ShardedPlanCache<E>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ttlg_tensor::{reference, DenseTensor};
 
-impl<E: Element> Default for PlanCache<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: Element> PlanCache<E> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        PlanCache {
-            inner: ShardedPlanCache::with_config(CacheConfig {
-                shards: 1,
-                capacity_per_shard: 0,
-            }),
-        }
+    /// One shard, no capacity bound.
+    fn unbounded<E: Element>() -> ShardedPlanCache<E> {
+        ShardedPlanCache::with_config(CacheConfig {
+            shards: 1,
+            capacity_per_shard: 0,
+        })
     }
 
-    /// Fetch the plan for `(shape, perm, opts)`, building it on first use.
-    pub fn get_or_plan(
-        &self,
+    /// Fetch through the cache's one entry point; returns the plan and
+    /// whether it was served from the cache.
+    fn fetch<E: Element>(
+        cache: &ShardedPlanCache<E>,
         t: &Transposer,
         shape: &Shape,
         perm: &Permutation,
         opts: &TransposeOptions,
-    ) -> Result<Arc<Plan<E>>, PlanError> {
-        self.inner.get_or_plan(t, shape, perm, opts)
+    ) -> (Arc<Plan<E>>, bool) {
+        let key = PlanKey::new(shape, perm, opts);
+        let (plan, hit, _) = cache
+            .get_or_plan_keyed_timed(t, &key, shape, perm, opts)
+            .expect("plannable");
+        (plan, hit)
     }
-
-    /// Transpose with plan reuse: plans are built once per distinct
-    /// problem and reused on every subsequent call.
-    pub fn transpose(
-        &self,
-        t: &Transposer,
-        input: &DenseTensor<E>,
-        perm: &Permutation,
-    ) -> Result<(DenseTensor<E>, TransposeReport), PlanError> {
-        self.inner.transpose(t, input, perm)
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Drop every cached plan.
-    pub fn clear(&self) {
-        self.inner.clear()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ttlg_tensor::reference;
 
     #[test]
     fn second_call_hits_the_cache() {
         let t = Transposer::new_k40c();
-        let cache: PlanCache<u64> = PlanCache::new();
+        let cache: ShardedPlanCache<u64> = unbounded();
         let shape = Shape::new(&[16, 8, 4]).unwrap();
         let perm = Permutation::new(&[2, 0, 1]).unwrap();
-        let input: DenseTensor<u64> = DenseTensor::iota(shape);
-        let (out1, _) = cache.transpose(&t, &input, &perm).unwrap();
-        let (out2, _) = cache.transpose(&t, &input, &perm).unwrap();
+        let opts = TransposeOptions::default();
+        let input: DenseTensor<u64> = DenseTensor::iota(shape.clone());
+        let (plan1, hit1) = fetch(&cache, &t, &shape, &perm, &opts);
+        let (plan2, hit2) = fetch(&cache, &t, &shape, &perm, &opts);
+        assert!(!hit1 && hit2);
+        let (out1, _) = t.execute(&plan1, &input).unwrap();
+        let (out2, _) = t.execute(&plan2, &input).unwrap();
         assert_eq!(out1.data(), out2.data());
         let expect = reference::transpose_reference(&input, &perm).unwrap();
         assert_eq!(out1.data(), expect.data());
@@ -745,19 +656,19 @@ mod tests {
     #[test]
     fn distinct_problems_get_distinct_plans() {
         let t = Transposer::new_k40c();
-        let cache: PlanCache<f64> = PlanCache::new();
+        let cache: ShardedPlanCache<f64> = unbounded();
         let opts = TransposeOptions::default();
         let s1 = Shape::new(&[8, 8]).unwrap();
         let s2 = Shape::new(&[16, 8]).unwrap();
         let p = Permutation::new(&[1, 0]).unwrap();
-        cache.get_or_plan(&t, &s1, &p, &opts).unwrap();
-        cache.get_or_plan(&t, &s2, &p, &opts).unwrap();
+        fetch(&cache, &t, &s1, &p, &opts);
+        fetch(&cache, &t, &s2, &p, &opts);
         // Different options are different cache entries too.
         let opts2 = TransposeOptions {
             model_sweep: false,
             ..Default::default()
         };
-        cache.get_or_plan(&t, &s1, &p, &opts2).unwrap();
+        fetch(&cache, &t, &s1, &p, &opts2);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats().misses, 3);
     }
@@ -765,12 +676,10 @@ mod tests {
     #[test]
     fn clear_resets_plans_but_not_stats() {
         let t = Transposer::new_k40c();
-        let cache: PlanCache<f64> = PlanCache::new();
+        let cache: ShardedPlanCache<f64> = unbounded();
         let s = Shape::new(&[8, 8]).unwrap();
         let p = Permutation::new(&[1, 0]).unwrap();
-        cache
-            .get_or_plan(&t, &s, &p, &TransposeOptions::default())
-            .unwrap();
+        fetch(&cache, &t, &s, &p, &TransposeOptions::default());
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
@@ -780,13 +689,11 @@ mod tests {
     #[test]
     fn concurrent_access_is_safe() {
         let t = Transposer::new_k40c();
-        let cache: PlanCache<u32> = PlanCache::new();
+        let cache: ShardedPlanCache<u32> = unbounded();
         let shape = Shape::new(&[16, 16]).unwrap();
         let perm = Permutation::new(&[1, 0]).unwrap();
         ttlg_tensor::parallel::parallel_for_threads(8, 1, 4, |_| {
-            let plan = cache
-                .get_or_plan(&t, &shape, &perm, &TransposeOptions::default())
-                .expect("plannable");
+            let (plan, _) = fetch(&cache, &t, &shape, &perm, &TransposeOptions::default());
             assert!(plan.predicted_ns() > 0.0);
         });
         let s = cache.stats();
@@ -809,20 +716,20 @@ mod tests {
         let s1 = Shape::new(&[8, 8]).unwrap();
         let s2 = Shape::new(&[16, 8]).unwrap();
         let s3 = Shape::new(&[32, 8]).unwrap();
-        cache.get_or_plan(&t, &s1, &p, &opts).unwrap();
-        cache.get_or_plan(&t, &s2, &p, &opts).unwrap();
+        fetch(&cache, &t, &s1, &p, &opts);
+        fetch(&cache, &t, &s2, &p, &opts);
         // Touch s1 so s2 becomes the LRU entry.
-        cache.get_or_plan(&t, &s1, &p, &opts).unwrap();
-        cache.get_or_plan(&t, &s3, &p, &opts).unwrap();
+        fetch(&cache, &t, &s1, &p, &opts);
+        fetch(&cache, &t, &s3, &p, &opts);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(cache.len(), 2);
         // s1 survived (recently used): hitting it builds nothing new.
         let misses_before = cache.stats().misses;
-        cache.get_or_plan(&t, &s1, &p, &opts).unwrap();
+        fetch(&cache, &t, &s1, &p, &opts);
         assert_eq!(cache.stats().misses, misses_before);
         // s2 was evicted: asking again rebuilds.
-        cache.get_or_plan(&t, &s2, &p, &opts).unwrap();
+        fetch(&cache, &t, &s2, &p, &opts);
         assert_eq!(cache.stats().misses, misses_before + 1);
     }
 
@@ -834,14 +741,16 @@ mod tests {
         let perm = Permutation::new(&[1, 0]).unwrap();
         let opts = TransposeOptions::default();
         let key = PlanKey::new(&shape, &perm, &opts);
-        let (_, hit) = cache
-            .get_or_plan_keyed_flagged(&t, &key, &shape, &perm, &opts)
+        let (_, hit, timing) = cache
+            .get_or_plan_keyed_timed(&t, &key, &shape, &perm, &opts)
             .unwrap();
         assert!(!hit, "first fetch builds");
-        let (_, hit) = cache
-            .get_or_plan_keyed_flagged(&t, &key, &shape, &perm, &opts)
+        assert!(timing.build_ns > 0, "a build is timed");
+        let (_, hit, timing) = cache
+            .get_or_plan_keyed_timed(&t, &key, &shape, &perm, &opts)
             .unwrap();
         assert!(hit, "second fetch is served from cache");
+        assert_eq!(timing.build_ns, 0, "a hit builds nothing");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -904,7 +813,7 @@ mod tests {
         // LRU pressure now evicts it like any modeled plan.
         for n in 2..=5usize {
             let s = Shape::new(&[8 * n, 8]).unwrap();
-            cache.get_or_plan(&t, &s, &p, &opts).unwrap();
+            fetch(&cache, &t, &s, &p, &opts);
         }
         assert!(
             cache.peek(&hot_key).is_none(),
@@ -921,7 +830,7 @@ mod tests {
         let opts = TransposeOptions::default();
         let key = PlanKey::new(&shape, &perm, &opts);
         assert!(cache.peek(&key).is_none());
-        cache.get_or_plan(&t, &shape, &perm, &opts).unwrap();
+        fetch(&cache, &t, &shape, &perm, &opts);
         let before = cache.stats();
         // Swap in a plan with a distinctive predicted time, as the
         // autotuner does with a measured-best candidate.
@@ -936,7 +845,7 @@ mod tests {
         assert!((peeked.predicted_ns() - 42.0).abs() < 1e-12);
         assert_eq!(cache.stats(), before, "peek skews no counters either");
         // The next fetch is a hit served from the warmed plan.
-        let fetched = cache.get_or_plan(&t, &shape, &perm, &opts).unwrap();
+        let (fetched, _) = fetch(&cache, &t, &shape, &perm, &opts);
         assert!((fetched.predicted_ns() - 42.0).abs() < 1e-12);
         assert_eq!(cache.stats().hits, before.hits + 1);
     }
@@ -1010,7 +919,7 @@ mod tests {
         // Flood the shard far past capacity with modeled plans.
         for n in 1..=6usize {
             let s = Shape::new(&[8, 8 * n]).unwrap();
-            cache.get_or_plan(&t, &s, &p, &opts).unwrap();
+            fetch(&cache, &t, &s, &p, &opts);
         }
         // LRU churned the modeled plans but the pinned plan survived
         // untouched, still predicting its measured time.
@@ -1038,7 +947,7 @@ mod tests {
         assert_eq!(cache.pinned_plans(), 0, "modeled plans never pin");
         for n in 2..=4usize {
             let sn = Shape::new(&[8 * n, 8]).unwrap();
-            cache.get_or_plan(&t, &sn, &p, &opts).unwrap();
+            fetch(&cache, &t, &sn, &p, &opts);
         }
         assert!(cache.peek(&key).is_none(), "unpinned warm falls to LRU");
     }
@@ -1054,7 +963,7 @@ mod tests {
         let p = Permutation::new(&[1, 0]).unwrap();
         for n in 1..=16usize {
             let s = Shape::new(&[8 * n, 8]).unwrap();
-            cache.get_or_plan(&t, &s, &p, &opts).unwrap();
+            fetch(&cache, &t, &s, &p, &opts);
         }
         assert_eq!(cache.len(), 16);
         assert_eq!(cache.stats().misses, 16);

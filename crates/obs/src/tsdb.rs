@@ -265,21 +265,6 @@ impl TimeSeriesStore {
         inner.scalars.len() + inner.hists.len()
     }
 
-    /// Total retained points across every ring.
-    pub fn point_count(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .scalars
-            .values()
-            .map(|s| s.fine.len() + s.coarse.len())
-            .sum::<usize>()
-            + inner
-                .hists
-                .values()
-                .map(|s| s.fine.len() + s.coarse.len())
-                .sum::<usize>()
-    }
-
     /// All scalar series of family `name`, each as merged coarse+fine
     /// points (coarse points older than the fine window, then fine).
     pub fn scalar_data(&self, name: &str) -> Vec<ScalarPoints> {

@@ -215,7 +215,7 @@ impl<E: Element> TicketHandle<E> {
 
 /// Point-in-time executor counters, exported by the service as the
 /// `ttlg_coalesced_*` / `ttlg_completion_queue_depth` families and
-/// consumed directly by `bench-serve --async`.
+/// returned by `TransposeService::async_stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AsyncStatsSnapshot {
     /// Tickets issued by `submit_async` (leaders + followers + rejects).

@@ -517,11 +517,6 @@ impl<E: Element> TransposeService<E> {
         profile::render_flame(&self.phase_profiles())
     }
 
-    /// The slow-request exemplar store.
-    pub fn exemplar_store(&self) -> &ExemplarStore<Arc<DecisionTrace>> {
-        &self.exemplars
-    }
-
     /// All retained exemplars, slowest-first within each bucket.
     pub fn exemplars(&self) -> ExemplarBuckets<Arc<DecisionTrace>> {
         self.exemplars.snapshot()
@@ -1633,7 +1628,14 @@ mod tests {
         assert!(prom.contains("ttlg_backend_requests_total{backend=\"cpu\"} 0"));
         assert!(prom.contains("ttlg_plan_latency_us_quantile{quantile=\"0.99\"}"));
         assert!(prom.contains("ttlg_prediction_samples_total"));
+        assert!(prom.contains("ttlg_prediction_geo_mean_error"));
+        assert!(prom.contains("ttlg_requests_total{schema="));
         assert!(prom.contains("ttlg_exec_latency_us_bucket"));
+        for q in ["0.5", "0.95", "0.99"] {
+            assert!(prom.contains(&format!(
+                "ttlg_exec_latency_us_quantile{{quantile=\"{q}\"}}"
+            )));
+        }
         // Every non-comment line is `name{labels} value`.
         for line in prom.lines().filter(|l| !l.starts_with('#')) {
             let (name_part, value) = line.rsplit_once(' ').expect("name value");

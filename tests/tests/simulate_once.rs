@@ -6,7 +6,9 @@
 
 use std::collections::BTreeSet;
 use std::sync::Barrier;
-use ttlg::{applicable_schemas, Problem, Schema, TransposeOptions, TransposeReport, Transposer};
+use ttlg::{
+    applicable_schemas, Backend, Problem, Schema, TransposeOptions, TransposeReport, Transposer,
+};
 use ttlg_gpu_sim::TransactionStats;
 use ttlg_tensor::rng::StdRng;
 use ttlg_tensor::{reference, DenseTensor, Element, Permutation, Shape};
@@ -190,5 +192,59 @@ fn disjoint_write_checked_plans_report_identically_every_time() {
             assert_eq!(out.data(), expect.data(), "{extents:?} run {run}");
             assert_eq!(simulated_fields(&report), timed, "{extents:?} run {run}");
         }
+    }
+}
+
+/// The autotuner measures a candidate with `measure_candidate` and then
+/// installs `plan_for_candidate` for it, whose first execution simulates
+/// again. Seeding that plan's memo from the measurement is sound only
+/// while the two agree; pin it for every GpuSim candidate `plan_topk`
+/// ranks on one problem of each schema.
+#[test]
+fn tuner_measurement_equals_the_installed_plans_first_execution() {
+    let t = Transposer::new_k40c();
+    let opts = TransposeOptions::default();
+    let mut schemas = BTreeSet::new();
+    for (extents, perm) in [
+        (vec![50, 7, 9], vec![0, 2, 1]),
+        (vec![9, 10, 11, 5], vec![0, 3, 2, 1]),
+        (vec![33, 5, 37], vec![2, 1, 0]),
+        (vec![6, 3, 7, 9], vec![2, 1, 3, 0]),
+    ] {
+        let shape = Shape::new(&extents).unwrap();
+        let perm = Permutation::new(&perm).unwrap();
+        let input: DenseTensor<f64> = DenseTensor::iota(shape.clone());
+        let expect = reference::transpose_reference(&input, &perm).unwrap();
+        let (_, ranked) = t.plan_topk::<f64>(&shape, &perm, &opts, 8).unwrap();
+        for rc in ranked {
+            assert_eq!(rc.candidate.backend(), Backend::GpuSim);
+            let case = format!("{extents:?} {:?}", rc.candidate);
+            let plan = t
+                .plan_for_candidate::<f64>(&shape, &perm, &opts, rc.candidate.clone(), 1.0)
+                .unwrap();
+            let measured = t
+                .measure_candidate::<f64>(plan.problem(), &rc.candidate)
+                .unwrap();
+            let (out, report) = t.execute(&plan, &input).unwrap();
+            assert_eq!(out.data(), expect.data(), "bytes: {case}");
+            assert_eq!(measured.stats, report.stats, "stats: {case}");
+            assert_eq!(
+                measured.timing.time_ns.to_bits(),
+                report.kernel_time_ns.to_bits(),
+                "time: {case}"
+            );
+            schemas.insert(plan.schema().to_string());
+        }
+    }
+    for s in [
+        Schema::FviMatchLarge,
+        Schema::FviMatchSmall,
+        Schema::OrthogonalDistinct,
+        Schema::OrthogonalArbitrary,
+    ] {
+        assert!(
+            schemas.contains(&s.to_string()),
+            "{s} not covered: {schemas:?}"
+        );
     }
 }
